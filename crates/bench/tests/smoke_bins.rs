@@ -152,3 +152,19 @@ fn perf_smoke() {
     assert!(json.contains("\"fig11_alltoall\"") && json.contains("\"wall_speedup\""));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// perf_smoke parses its flags strictly, like every other binary: an
+/// unknown flag exits 2 before any scenario runs.
+#[test]
+fn perf_smoke_rejects_unknown_flags() {
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_smoke"))
+        .args(["--quick", "--frobnicate"])
+        .output()
+        .expect("spawn perf_smoke");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -65,6 +65,10 @@ pub struct ClusterReport {
     pub rejected_jobs: u32,
     /// Defragmentation passes triggered by blocked head-of-queue jobs.
     pub defrag_passes: u32,
+    /// Running jobs a defragmentation pass moved to other boards (one
+    /// checkpoint/restart each). Deliberately not a CSV column, like
+    /// `flows_rerouted`.
+    pub preemptions: u32,
     /// Network simulations actually executed (iteration measurements that
     /// missed the failure-set cache).
     pub sim_invocations: u32,

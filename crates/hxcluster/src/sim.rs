@@ -31,11 +31,25 @@ use hxnet::graph::FailureSetId;
 use hxnet::hammingmesh::{HxCoord, HxMeshParams};
 use hxnet::{Network, NodeId, PortId};
 use hxsim::{simulate, EngineKind, FailureSchedule, LinkEventKind, SimConfig, SimStats};
-use hxtelemetry::{CounterId, GaugeId, HistId, HistogramU64, Registry, Sampler, TraceSink};
+use hxtelemetry::{CounterTable, GaugeId, HistId, HistogramU64, Registry, Sampler, TraceSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
+
+/// The registry counters a cluster run exports at retirement (metrics
+/// on), as `(registry name, ClusterReport field)`. Every job is queued
+/// on arrival and every job that is not rejected is placed exactly once,
+/// so both job counts follow from `jobs`.
+const COUNTERS: &CounterTable<ClusterReport> = &[
+    ("jobs_queued", |r| r.jobs.len() as u64),
+    ("jobs_placed", |r| {
+        (r.jobs.len() - r.rejected_jobs as usize) as u64
+    }),
+    ("jobs_preempted", |r| r.preemptions as u64),
+    ("cable_fails", |r| r.fail_events as u64),
+    ("cable_repairs", |r| r.repair_events as u64),
+];
 
 /// Everything a cluster run is parameterized by.
 #[derive(Clone, Debug)]
@@ -164,21 +178,17 @@ pub struct ClusterSim {
     repair_events: u32,
     resims: u32,
     defrag_passes: u32,
+    preemptions: u32,
     sim_invocations: u32,
     /// Flow re-routes observed inside in-situ interrupted-iteration sims.
     flows_rerouted: u64,
     // Telemetry. The enabled flags are cached at construction so every
-    // hot-path site costs one branch when the channels are off.
+    // hot-path site costs one branch when the channels are off. Counts
+    // live in the report and reach `reg` through `COUNTERS` at the end.
     sink: TraceSink,
     tel_metrics: bool,
-    tel_any: bool,
     reg: Registry,
     sampler: Sampler,
-    c_jobs_queued: CounterId,
-    c_jobs_placed: CounterId,
-    c_jobs_preempted: CounterId,
-    c_cable_fails: CounterId,
-    c_cable_repairs: CounterId,
     h_wait: HistId,
     h_jct: HistId,
     g_queue_depth: GaugeId,
@@ -213,7 +223,6 @@ impl ClusterSim {
         if let Some(mean) = cfg.mean_fail_interval_ps {
             events.push(exponential_ps(mean, &mut fail_rng), Event::CableFail);
         }
-        let trace = hxtelemetry::collect::trace_enabled();
         let tel_metrics = hxtelemetry::collect::metrics_enabled();
         let mut reg = Registry::new();
         let g_queue_depth = reg.gauge("queue_depth");
@@ -246,16 +255,11 @@ impl ClusterSim {
             repair_events: 0,
             resims: 0,
             defrag_passes: 0,
+            preemptions: 0,
             sim_invocations: 0,
             flows_rerouted: 0,
-            sink: TraceSink::new(trace),
+            sink: TraceSink::new(hxtelemetry::collect::trace_enabled()),
             tel_metrics,
-            tel_any: trace || tel_metrics,
-            c_jobs_queued: reg.counter("jobs_queued"),
-            c_jobs_placed: reg.counter("jobs_placed"),
-            c_jobs_preempted: reg.counter("jobs_preempted"),
-            c_cable_fails: reg.counter("cable_fails"),
-            c_cable_repairs: reg.counter("cable_repairs"),
             h_wait: reg.histogram("job_wait_ps"),
             h_jct: reg.histogram("job_jct_ps"),
             g_queue_depth,
@@ -285,14 +289,13 @@ impl ClusterSim {
             match ev {
                 Event::Arrival(id) => {
                     self.queue.push_back(id);
-                    if self.tel_any {
+                    if self.sink.enabled() {
                         self.sink.instant_args(
                             "job_queued",
                             "cluster",
                             now,
                             vec![("job", id as u64)],
                         );
-                        self.reg.inc(self.c_jobs_queued, 1);
                     }
                     self.place_queued(now);
                 }
@@ -315,14 +318,13 @@ impl ClusterSim {
                 Event::CableRepair { node, port } => {
                     if self.net.topo.restore_link(node, port) {
                         self.repair_events += 1;
-                        if self.tel_any {
+                        if self.sink.enabled() {
                             self.sink.instant_args(
                                 "cable_repair",
                                 "cluster",
                                 now,
                                 vec![("node", node.0 as u64), ("port", port.0 as u64)],
                             );
-                            self.reg.inc(self.c_cable_repairs, 1);
                         }
                         self.rerate_with_event(now, Some((node, port, LinkEventKind::Repair)));
                     }
@@ -341,22 +343,11 @@ impl ClusterSim {
             self.queue.len(),
             self.running.len()
         );
-        if self.tel_any {
-            if self.tel_metrics {
-                self.reg.merge_hist(self.h_wait, &self.wait_hist);
-                self.reg.merge_hist(self.h_jct, &self.jct_hist);
-            }
-            let names = self.sampler.gauge_names().to_vec();
-            let samples = self.sampler.take_samples();
-            let reg = std::mem::take(&mut self.reg);
-            let sink = std::mem::replace(&mut self.sink, TraceSink::disabled());
-            hxtelemetry::collect::submit_with_samples(reg, sink, names, samples);
-        }
         let mut jobs: Vec<JobRecord> = self.records.into_values().collect();
         jobs.sort_by_key(|r| r.id);
         let rejected_jobs = jobs.iter().filter(|j| j.rejected).count() as u32;
         let links = self.net.topo.num_links();
-        ClusterReport {
+        let report = ClusterReport {
             jobs,
             makespan_ps: makespan,
             frag_time_avg: if makespan > 0 {
@@ -380,10 +371,20 @@ impl ClusterSim {
             flows_rerouted: self.flows_rerouted,
             rejected_jobs,
             defrag_passes: self.defrag_passes,
+            preemptions: self.preemptions,
             sim_invocations: self.sim_invocations,
             wait_hist: self.wait_hist,
             jct_hist: self.jct_hist,
+        };
+        if self.tel_metrics {
+            self.reg.merge_hist(self.h_wait, &report.wait_hist);
+            self.reg.merge_hist(self.h_jct, &report.jct_hist);
+            self.reg.export(&report, COUNTERS);
         }
+        let names = self.sampler.gauge_names().to_vec();
+        let samples = self.sampler.take_samples();
+        hxtelemetry::collect::submit_with_samples(self.reg, self.sink, names, samples);
+        report
     }
 
     fn work_remains(&self) -> bool {
@@ -469,14 +470,16 @@ impl ClusterSim {
                                 // hxlint: allow(P001) defragment() restores or re-places every running job
                                 .expect("running job lost by defragment")
                                 .clone();
-                            if self.tel_any && fresh != r.placement {
-                                self.sink.instant_args(
-                                    "job_preempted",
-                                    "cluster",
-                                    now,
-                                    vec![("job", *id as u64)],
-                                );
-                                self.reg.inc(self.c_jobs_preempted, 1);
+                            if fresh != r.placement {
+                                self.preemptions += 1;
+                                if self.sink.enabled() {
+                                    self.sink.instant_args(
+                                        "job_preempted",
+                                        "cluster",
+                                        now,
+                                        vec![("job", *id as u64)],
+                                    );
+                                }
                             }
                             r.placement = fresh;
                         }
@@ -495,7 +498,7 @@ impl ClusterSim {
             .allocate(spec.id, spec.u, spec.v, self.cfg.heuristics)?;
         let (comm_ps, busy) = self.measure_iteration(&placement, spec.grad_bytes);
         let iter_ps = iteration_ps(spec.compute_ps, comm_ps, self.cfg.overlap);
-        if self.tel_any {
+        if self.sink.enabled() {
             self.sink.instant_args(
                 "job_placed",
                 "cluster",
@@ -507,7 +510,6 @@ impl ClusterSim {
                     ("cols", placement.cols.len() as u64),
                 ],
             );
-            self.reg.inc(self.c_jobs_placed, 1);
         }
         let finish = now + spec.iters as u64 * iter_ps;
         self.events.push(
@@ -579,14 +581,13 @@ impl ClusterSim {
                 continue;
             }
             self.fail_events += 1;
-            if self.tel_any {
+            if self.sink.enabled() {
                 self.sink.instant_args(
                     "cable_fail",
                     "cluster",
                     now,
                     vec![("node", node.0 as u64), ("port", port.0 as u64)],
                 );
-                self.reg.inc(self.c_cable_fails, 1);
             }
             let repair = exponential_ps(self.cfg.mean_repair_ps, &mut self.fail_rng);
             self.events
@@ -930,6 +931,7 @@ mod tests {
         };
         let report = ClusterSim::new(cfg).run();
         assert!(report.defrag_passes > 0, "load never triggered a defrag");
+        assert!(report.preemptions > 0, "no defrag moved a running job");
         assert_eq!(
             report.jobs.iter().filter(|j| !j.rejected).count() as u32 + report.rejected_jobs,
             24

@@ -6,7 +6,7 @@ use crate::stats::{SimError, SimStats};
 use crate::{RetransmitPolicy, Time};
 use hxnet::route::LoadProbe;
 use hxnet::{Network, NodeId, PortId, Topology};
-use hxtelemetry::{CounterId, HistId, Registry, TraceSink};
+use hxtelemetry::{CounterTable, HistId, Registry, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -136,6 +136,16 @@ type MsgId = u32;
 const RTO_BASE_PS: Time = 1_000_000;
 const RTO_BACKOFF_CAP: u32 = 6;
 
+/// The registry counters a packet run exports at retirement (metrics
+/// on), as `(registry name, SimStats field)`; see `flow::COUNTERS`.
+const COUNTERS: &CounterTable<SimStats> = &[
+    ("flows_started", |s| s.messages_sent),
+    ("flows_drained", |s| s.messages_delivered),
+    ("packet_stalls", |s| s.packet_stalls),
+    ("sim_events", |s| s.events),
+    ("packet_retransmits", |s| s.packet_retransmits),
+];
+
 struct PacketState {
     msg: MsgId,
     bytes: u32,
@@ -245,16 +255,11 @@ pub struct Engine<'n> {
     waiter_scratch: Vec<(NodeId, PortId)>,
     /// Telemetry (see `hxtelemetry::collect`). The enabled flags are
     /// sampled once at construction, so every instrumentation site below
-    /// costs one predictable branch when collection is off.
+    /// costs one predictable branch when collection is off. Counts live
+    /// in `stats` and reach `reg` through [`COUNTERS`] at retirement.
     sink: TraceSink,
     tel_metrics: bool,
-    tel_any: bool,
     reg: Registry,
-    c_flows_started: CounterId,
-    c_flows_drained: CounterId,
-    c_packet_stalls: CounterId,
-    c_sim_events: CounterId,
-    c_retransmits: CounterId,
     h_msg_latency: HistId,
     /// Private failure-epoch topology, `Some` iff the run carries a
     /// non-empty [`crate::FailureSchedule`] (scheduled fail/repair events
@@ -327,13 +332,6 @@ impl<'n> Engine<'n> {
             waiter_scratch: Vec::new(),
             sink: TraceSink::new(hxtelemetry::collect::trace_enabled()),
             tel_metrics: hxtelemetry::collect::metrics_enabled(),
-            tel_any: hxtelemetry::collect::trace_enabled()
-                || hxtelemetry::collect::metrics_enabled(),
-            c_flows_started: reg.counter("flows_started"),
-            c_flows_drained: reg.counter("flows_drained"),
-            c_packet_stalls: reg.counter("packet_stalls"),
-            c_sim_events: reg.counter("sim_events"),
-            c_retransmits: reg.counter("packet_retransmits"),
             h_msg_latency: reg.histogram("msg_latency_ps"),
             topo: (!cfg.failures.is_empty()).then(|| net.topo.clone()),
             next_sched: 0,
@@ -468,14 +466,10 @@ impl<'n> Engine<'n> {
                 self.stats.total_link_busy_ps += p.busy_ps;
             }
         }
-        if self.tel_any {
-            if self.tel_metrics {
-                self.reg.inc(self.c_sim_events, self.stats.events);
-            }
-            let reg = std::mem::take(&mut self.reg);
-            let sink = std::mem::replace(&mut self.sink, TraceSink::disabled());
-            hxtelemetry::collect::submit(reg, sink);
+        if self.tel_metrics {
+            self.reg.export(&self.stats, COUNTERS);
         }
+        hxtelemetry::collect::submit(self.reg, self.sink);
         self.stats
     }
 
@@ -618,9 +612,6 @@ impl<'n> Engine<'n> {
                 p.waypoint = None;
             }
             self.stats.packet_retransmits += 1;
-            if self.tel_metrics {
-                self.reg.inc(self.c_retransmits, 1);
-            }
             if self.sink.enabled() {
                 let info = self.msgs[msg as usize].info;
                 self.sink.instant_args(
@@ -671,9 +662,6 @@ impl<'n> Engine<'n> {
                 self.now,
                 vec![("src", src as u64), ("dst", dst as u64), ("bytes", bytes)],
             );
-        }
-        if self.tel_metrics {
-            self.reg.inc(self.c_flows_started, 1);
         }
         self.msgs.push(MsgState {
             info: MsgInfo {
@@ -889,6 +877,7 @@ impl<'n> Engine<'n> {
                 if op.stalled_mask & (1 << vc) == 0 {
                     op.stalled_mask |= 1 << vc;
                     self.nodes[peer.node.idx()].waiters[slot].push((node, port));
+                    self.stats.packet_stalls += 1;
                     if self.sink.enabled() {
                         self.sink.instant_args(
                             "packet_stall",
@@ -900,9 +889,6 @@ impl<'n> Engine<'n> {
                                 ("vc", vc as u64),
                             ],
                         );
-                    }
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_packet_stalls, 1);
                     }
                 }
                 continue;
@@ -1039,7 +1025,6 @@ impl<'n> Engine<'n> {
                 if self.tel_metrics {
                     self.reg
                         .record(self.h_msg_latency, self.now.saturating_sub(start_ps));
-                    self.reg.inc(self.c_flows_drained, 1);
                 }
                 if self.sink.enabled() {
                     self.sink.instant_args(

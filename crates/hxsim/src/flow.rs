@@ -84,7 +84,7 @@ use crate::stats::{SimError, SimStats};
 use crate::{RateMode, SimConfig, Time};
 use hxnet::route::Hop;
 use hxnet::{Network, NodeId, PortId, Topology};
-use hxtelemetry::{CounterId, HistId, Registry, TraceSink};
+use hxtelemetry::{CounterTable, HistId, Registry, TraceSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -113,6 +113,20 @@ const COALESCE_REL: f64 = 1e-3;
 
 /// Absolute floor of the coalescing window, in picoseconds (1 ns).
 const COALESCE_ABS_PS: f64 = 1_000.0;
+
+/// The registry counters a flow run exports at retirement (metrics on),
+/// as `(registry name, SimStats field)`. The names predate the fields and
+/// are what `--metrics-out` consumers read.
+const COUNTERS: &CounterTable<SimStats> = &[
+    ("flows_started", |s| s.messages_sent),
+    ("flows_drained", |s| s.messages_delivered),
+    ("rate_epochs", |s| s.rate_epochs),
+    ("rate_changed_flows", |s| s.rate_changed_flows),
+    ("sim_events", |s| s.events),
+    ("link_fail_events", |s| s.link_fail_events),
+    ("link_repair_events", |s| s.link_repair_events),
+    ("flow_reroutes", |s| s.flows_rerouted),
+];
 
 /// One route of a flow: dense directed-link indices, the current max-min
 /// share, and the bytes it has carried so far (for traffic accounting).
@@ -247,19 +261,14 @@ pub struct FlowEngine<'n> {
     waypoints: Vec<NodeId>,
     /// Telemetry (see `hxtelemetry::collect`). The enabled flags are
     /// sampled once at construction, so every instrumentation site below
-    /// costs one predictable branch when collection is off.
+    /// costs one predictable branch when collection is off. Counts live
+    /// in `stats` and reach `reg` through [`COUNTERS`] at retirement.
     sink: TraceSink,
     tel_metrics: bool,
-    tel_any: bool,
     reg: Registry,
-    c_flows_started: CounterId,
-    c_flows_drained: CounterId,
-    c_rate_epochs: CounterId,
-    c_rate_changed: CounterId,
-    c_sim_events: CounterId,
     h_msg_latency: HistId,
     /// `(flow, pre-fill rate bits)` scratch for the mode-invariant
-    /// touched-flow count (see `recompute_rates`).
+    /// changed-flow count (see `recompute_rates`).
     old_rate_scratch: Vec<(FlowId, u64)>,
     /// Flows whose rate bit pattern changed in the current epoch.
     epoch_changed: u64,
@@ -275,9 +284,6 @@ pub struct FlowEngine<'n> {
     /// Retried on every repair; still-stalled entries at the end of the
     /// run surface as [`SimError::Disconnected`].
     stalled: Vec<(FlowId, f64)>,
-    c_link_fail: CounterId,
-    c_link_repair: CounterId,
-    c_flow_reroute: CounterId,
 }
 
 impl<'n> FlowEngine<'n> {
@@ -339,17 +345,7 @@ impl<'n> FlowEngine<'n> {
             waypoints: Vec::new(),
             sink: TraceSink::new(hxtelemetry::collect::trace_enabled()),
             tel_metrics: hxtelemetry::collect::metrics_enabled(),
-            tel_any: hxtelemetry::collect::trace_enabled()
-                || hxtelemetry::collect::metrics_enabled(),
-            c_flows_started: reg.counter("flows_started"),
-            c_flows_drained: reg.counter("flows_drained"),
-            c_rate_epochs: reg.counter("rate_epochs"),
-            c_rate_changed: reg.counter("rate_changed_flows"),
-            c_sim_events: reg.counter("sim_events"),
             h_msg_latency: reg.histogram("msg_latency_ps"),
-            c_link_fail: reg.counter("link_fail_events"),
-            c_link_repair: reg.counter("link_repair_events"),
-            c_flow_reroute: reg.counter("flow_reroutes"),
             topo: (!cfg.failures.is_empty()).then(|| net.topo.clone()),
             next_sched: 0,
             stalled: Vec::new(),
@@ -464,14 +460,10 @@ impl<'n> FlowEngine<'n> {
         }
         self.stats.finish_ps = self.now.round() as Time;
         self.stats.undelivered_messages = self.msgs.iter().filter(|m| !m.done).count();
-        if self.tel_any {
-            if self.tel_metrics {
-                self.reg.inc(self.c_sim_events, self.stats.events);
-            }
-            let reg = std::mem::take(&mut self.reg);
-            let sink = std::mem::replace(&mut self.sink, TraceSink::disabled());
-            hxtelemetry::collect::submit(reg, sink);
+        if self.tel_metrics {
+            self.reg.export(&self.stats, COUNTERS);
         }
+        hxtelemetry::collect::submit(self.reg, self.sink);
         self.stats
     }
 
@@ -548,9 +540,6 @@ impl<'n> FlowEngine<'n> {
                     now_ps,
                     vec![("src", info.src_rank as u64), ("dst", info.dst_rank as u64)],
                 );
-            }
-            if self.tel_metrics {
-                self.reg.inc(self.c_flows_drained, 1);
             }
             {
                 let mut ctx = Ctx::new(now_ps, &mut cmds);
@@ -637,9 +626,6 @@ impl<'n> FlowEngine<'n> {
                         continue; // already failed: no-op
                     }
                     self.stats.link_fail_events += 1;
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_link_fail, 1);
-                    }
                     if self.sink.enabled() {
                         self.sink.instant_args(
                             "link_fail",
@@ -679,9 +665,6 @@ impl<'n> FlowEngine<'n> {
                         continue; // not failed: no-op
                     }
                     self.stats.link_repair_events += 1;
-                    if self.tel_metrics {
-                        self.reg.inc(self.c_link_repair, 1);
-                    }
                     if self.sink.enabled() {
                         self.sink.instant_args(
                             "link_repair",
@@ -754,9 +737,6 @@ impl<'n> FlowEngine<'n> {
         } else {
             self.attach_routes(f, routes, latency_ps);
             self.stats.flows_rerouted += 1;
-            if self.tel_metrics {
-                self.reg.inc(self.c_flow_reroute, 1);
-            }
             if self.sink.enabled() {
                 self.sink.instant_args(
                     "flow_reroute",
@@ -878,9 +858,6 @@ impl<'n> FlowEngine<'n> {
                 start_ps,
                 vec![("src", src as u64), ("dst", dst as u64), ("bytes", bytes)],
             );
-        }
-        if self.tel_metrics {
-            self.reg.inc(self.c_flows_started, 1);
         }
         self.msgs.push(MsgState {
             info: MsgInfo {
@@ -1177,12 +1154,14 @@ impl<'n> FlowEngine<'n> {
                 self.stats.rate_recomputes_component += 1;
             }
         }
-        // Telemetry counts flows whose rate *bit pattern changed* this
-        // epoch — not the solver-effort counters above, which depend on
+        // Count flows whose rate *bit pattern changed* this epoch — not
+        // solver effort like the counters above, which depend on
         // [`RateMode`]. A component refilled to identical bits (the Full
-        // mode's widened walk) contributes nothing, so this count — and
-        // the `rate_epoch` trace — is bitwise mode-invariant.
-        if self.tel_any && self.epoch_changed > 0 {
+        // mode's widened walk) contributes nothing, so these counts — and
+        // the `rate_epoch` trace — are bitwise mode-invariant.
+        if self.epoch_changed > 0 {
+            self.stats.rate_epochs += 1;
+            self.stats.rate_changed_flows += self.epoch_changed;
             if self.sink.enabled() {
                 self.sink.instant_args(
                     "rate_epoch",
@@ -1190,10 +1169,6 @@ impl<'n> FlowEngine<'n> {
                     self.now.round() as Time,
                     vec![("touched_flows", self.epoch_changed)],
                 );
-            }
-            if self.tel_metrics {
-                self.reg.inc(self.c_rate_epochs, 1);
-                self.reg.inc(self.c_rate_changed, self.epoch_changed);
             }
         }
         self.epoch_changed = 0;
@@ -1282,10 +1257,8 @@ impl<'n> FlowEngine<'n> {
         for &(f, ri) in comp.iter() {
             let f = f as usize;
             if ri == 0 {
-                if self.tel_any {
-                    self.old_rate_scratch
-                        .push((f as FlowId, self.flows[f].rate.to_bits()));
-                }
+                self.old_rate_scratch
+                    .push((f as FlowId, self.flows[f].rate.to_bits()));
                 self.flows[f].rate = 0.0;
             }
             self.flows[f].routes[ri as usize].rate = -1.0; // sentinel: unassigned
@@ -1343,15 +1316,12 @@ impl<'n> FlowEngine<'n> {
             });
             debug_assert!(comp.len() < before, "water-filling stalled");
         }
-        if self.tel_any {
-            let mut scratch = std::mem::take(&mut self.old_rate_scratch);
-            for (f, old_bits) in scratch.drain(..) {
-                if self.flows[f as usize].rate.to_bits() != old_bits {
-                    self.epoch_changed += 1;
-                }
+        for &(f, old_bits) in &self.old_rate_scratch {
+            if self.flows[f as usize].rate.to_bits() != old_bits {
+                self.epoch_changed += 1;
             }
-            self.old_rate_scratch = scratch;
         }
+        self.old_rate_scratch.clear();
     }
 }
 
@@ -1407,6 +1377,11 @@ mod tests {
         let stats = FlowEngine::new(&net, SimConfig::default()).run(&mut app);
         assert!(stats.clean(), "{stats:?}");
         assert_eq!(stats.messages_delivered as usize, 16 * 15);
+        // Useful rate work is counted with telemetry off, and is a part
+        // of the solver's effort.
+        assert!(stats.rate_changed_flows > 0, "{stats:?}");
+        assert!(stats.rate_changed_flows <= stats.rate_touched_flows);
+        assert!(stats.rate_epochs > 0 && stats.rate_epochs <= stats.rate_recomputes);
     }
 
     #[test]

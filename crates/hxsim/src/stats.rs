@@ -37,7 +37,11 @@ impl std::fmt::Display for SimError {
 }
 
 /// Counters and timing collected over one simulation run.
-#[derive(Clone, Debug, Default)]
+///
+/// These fields are the only copy of the engine counts: with metrics on
+/// (`hxtelemetry::collect`), each engine exports a fixed subset into its
+/// registry once, when the run retires.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Simulated time at which the last event executed.
     pub finish_ps: Time,
@@ -69,6 +73,14 @@ pub struct SimStats {
     /// recompute epochs. Under `RateMode::Full` this is Σ active-flow
     /// counts; `Incremental` is provably ≤ that (pinned differentially).
     pub rate_touched_flows: u64,
+    /// Flow engine only: epochs on which at least one flow's rate bit
+    /// pattern changed. Unlike the solver-effort counters above, this and
+    /// [`SimStats::rate_changed_flows`] are identical under either
+    /// [`crate::RateMode`]: a refill to the same bits changes nothing.
+    pub rate_epochs: u64,
+    /// Flow engine only: flows whose rate bit pattern changed, summed
+    /// over epochs — the useful part of `rate_touched_flows`.
+    pub rate_changed_flows: u64,
     /// Flow engine only, populated when `SimConfig::trace_rates` is set:
     /// one `(now.to_bits(), msg_id, rate.to_bits())` entry per active
     /// flow per dirty epoch, sorted by msg id within an epoch. The
@@ -99,6 +111,9 @@ pub struct SimStats {
     /// Packet engine: packets dropped on a failed cable and re-injected
     /// by the sender under the configured [`crate::RetransmitPolicy`].
     pub packet_retransmits: u64,
+    /// Packet engine: times an output VC first blocked on missing
+    /// downstream credit (one per stall, not per retry while blocked).
+    pub packet_stalls: u64,
     /// Structured failure report (see [`SimError`]); `Some` makes the
     /// run not [`SimStats::clean`].
     pub error: Option<SimError>,

@@ -18,6 +18,7 @@ fn tiny_buffers_still_drain() {
     let mut app = Alltoall::new(net.num_ranks(), 64 << 10, 2);
     let stats = Engine::new(&net, cfg).run(&mut app);
     assert!(stats.clean(), "{stats:?}");
+    assert!(stats.packet_stalls > 0, "one-packet buffers never stalled");
 }
 
 #[test]

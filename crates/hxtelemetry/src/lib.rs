@@ -27,5 +27,5 @@ pub mod trace;
 
 pub use collect::{scope, ScopeGuard};
 pub use hist::HistogramU64;
-pub use registry::{CounterId, GaugeId, HistId, Registry, Sample, Sampler};
+pub use registry::{CounterId, CounterTable, GaugeId, HistId, Registry, Sample, Sampler};
 pub use trace::{validate_chrome_trace, TraceEvent, TraceSink};

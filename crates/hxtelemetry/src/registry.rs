@@ -22,6 +22,11 @@ pub struct GaugeId(usize);
 #[derive(Clone, Copy, Debug)]
 pub struct HistId(usize);
 
+/// How a report type's fields map onto registry counters: one
+/// `(counter name, field getter)` row per exported count. See
+/// [`Registry::export`].
+pub type CounterTable<T> = [(&'static str, fn(&T) -> u64)];
+
 /// A bag of named metrics. Registration is idempotent per name.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
@@ -86,6 +91,17 @@ impl Registry {
     #[inline]
     pub fn record(&mut self, id: HistId, value: u64) {
         self.hists[id.0].1.record(value);
+    }
+
+    /// Add each row of `table`, read from `report`, to the counter it
+    /// names (registering it first, so zero counts still appear). Engines
+    /// call this once when a run retires: the report struct stays the one
+    /// place a count is kept, and the registry is derived from it.
+    pub fn export<T>(&mut self, report: &T, table: &CounterTable<T>) {
+        for (name, field) in table {
+            let id = self.counter(name);
+            self.inc(id, field(report));
+        }
     }
 
     /// Fold an externally maintained histogram into a registered one.
@@ -260,6 +276,19 @@ mod tests {
         let c2 = r.counter("events");
         r.inc(c2, 1);
         assert_eq!(r.counter_value(c), 8);
+    }
+
+    #[test]
+    fn export_derives_counters_from_a_report() {
+        struct Report {
+            sent: u64,
+            lost: u32,
+        }
+        const TABLE: &CounterTable<Report> = &[("sent", |r| r.sent), ("lost", |r| r.lost as u64)];
+        let mut r = Registry::new();
+        r.export(&Report { sent: 5, lost: 0 }, TABLE);
+        r.export(&Report { sent: 2, lost: 1 }, TABLE);
+        assert_eq!(r.counters_sorted(), vec![("lost", 1), ("sent", 7)]);
     }
 
     #[test]

@@ -45,10 +45,6 @@ impl TraceSink {
         }
     }
 
-    pub fn disabled() -> Self {
-        Self::new(false)
-    }
-
     /// True when this sink records. Guard arg construction with this at
     /// call sites where building the arg list itself has a cost.
     #[inline]
@@ -437,7 +433,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
-        let mut s = TraceSink::disabled();
+        let mut s = TraceSink::new(false);
         s.instant("flow_start", "flow", 100);
         s.span("cell", "exec", 0, 50, vec![("n", 1)]);
         assert!(s.is_empty());
